@@ -122,7 +122,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"({result.improvement_percent:+.1f}%), area "
             f"{result.area_delta_percent:+.1f}%, "
             f"{result.optimize.moves_applied} moves, "
-            f"{result.runtime_seconds:.1f}s"
+            f"optimize {result.runtime_seconds:.1f}s"
             + (
                 f", equivalent={result.equivalent}"
                 if result.equivalent is not None else ""
@@ -144,7 +144,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{wl.initial_hpwl:.0f} -> {wl.final_hpwl:.0f} um "
                 f"({wl.improvement_percent:+.1f}%), "
                 f"{wl.swaps_applied} swaps + {wl.cross_swaps_applied} "
-                f"cross{klass} in {wl.passes} passes" + guard
+                f"cross{klass} in {wl.passes} passes, "
+                f"{wl.runtime_seconds:.1f}s" + guard
             )
     return 0
 

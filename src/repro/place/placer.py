@@ -22,7 +22,7 @@ import random
 from ..library.cells import Library, ROW_HEIGHT_UM
 from ..network.netlist import Network
 from .fm import bipartition
-from .placement import Placement, die_for, net_hpwl, total_hpwl
+from .placement import Placement, die_for, output_pad_points, total_hpwl
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
 #: this module's float accumulations and tie-breaks must never follow
@@ -205,36 +205,85 @@ def _anneal(
     seed: int,
     moves: int,
 ) -> None:
-    """Low-temperature pairwise-swap polish of the legal placement."""
+    """Low-temperature pairwise-swap polish of the legal placement.
+
+    Connectivity is frozen while annealing, so every net's terminals
+    are resolved once (:func:`_terminal_table`) and each net's HPWL is
+    cached: a step prices only the *after* side of its move and
+    commits those values to the cache when the move is accepted.  The
+    cached values are exactly what :func:`net_hpwl` returns for the
+    current placement, so every accept/reject decision matches
+    pricing both sides with :func:`net_hpwl`.
+    """
     rng = random.Random(seed)
     names = list(network.gate_names())
     if len(names) < 2:
         return
+    locations = placement.locations
     nets_of: dict[str, list[str]] = {name: [name] for name in names}
     for gate in network.gates():
         for net in gate.fanins:
             nets_of[gate.name].append(net)
+    pads = output_pad_points(network, placement)
+    tables: dict[str, tuple[list, list[str], list]] = {}
+    for nets in nets_of.values():
+        for net in nets:
+            if net not in tables and (
+                net in locations or network.is_input(net)
+            ):
+                tables[net] = _terminal_table(network, placement, net, pads)
+    affects = {
+        name: {net for net in nets if net in tables}
+        for name, nets in nets_of.items()
+    }
+
+    def hpwl(net: str) -> float:
+        head, gates, tail = tables[net]
+        terminals = head + [locations[gate] for gate in gates] + tail
+        if len(terminals) < 2:
+            return 0.0
+        xs = [t[0] for t in terminals]
+        ys = [t[1] for t in terminals]
+        return (max(xs) - min(xs)) + (max(ys) - min(ys))
+
+    cached = {net: hpwl(net) for net in tables}
     current = total_hpwl(network, placement)
     temperature = max(current / max(len(names), 1), 1.0)
-    for step in range(moves):
+    for _ in range(moves):
         a, b = rng.sample(names, 2)
         # sorted: HPWL deltas are float sums, and summing in set
         # iteration order would make accept/reject decisions (and the
         # whole trajectory) depend on PYTHONHASHSEED
-        affected = sorted(
-            net for net in set(nets_of[a]) | set(nets_of[b])
-            if net in placement.locations or network.is_input(net)
-        )
-        before = sum(
-            net_hpwl(network, placement, net) for net in affected
-        )
-        loc_a, loc_b = placement.locations[a], placement.locations[b]
-        placement.locations[a], placement.locations[b] = loc_b, loc_a
-        after = sum(net_hpwl(network, placement, net) for net in affected)
-        delta = after - before
+        affected = sorted(affects[a] | affects[b])
+        before = sum(cached[net] for net in affected)
+        loc_a, loc_b = locations[a], locations[b]
+        locations[a], locations[b] = loc_b, loc_a
+        after_values = [hpwl(net) for net in affected]
+        delta = sum(after_values) - before
         if delta > 0 and rng.random() >= math.exp(
             -delta / max(temperature, 1e-9)
         ):
-            placement.locations[a], placement.locations[b] = loc_a, loc_b
+            locations[a], locations[b] = loc_a, loc_b
+        else:
+            cached.update(zip(affected, after_values))
         temperature *= 0.999
-    return
+
+
+def _terminal_table(
+    network: Network,
+    placement: Placement,
+    net: str,
+    pads: dict[str, list[tuple[float, float]]],
+) -> tuple[list, list[str], list]:
+    """A net's terminals in :func:`net_terminals` order, split by kind.
+
+    Returns ``(head, gates, tail)``: the input pad of a PI-driven net
+    (else empty), the gates whose locations are terminals (the driver
+    first, then one per fanout pin), and the output pads.  Joined with
+    the gates' current locations they list exactly the coordinates
+    :func:`net_terminals` returns.
+    """
+    gates = [pin.gate for pin in network.fanout(net)]
+    if network.is_input(net):
+        return [placement.input_pads[net]], gates, pads.get(net, [])
+    return [], [net] + gates, pads.get(net, [])

@@ -41,6 +41,7 @@ unpartitioned batched path (both properties are locked by
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ..network.netlist import Network, Pin
@@ -186,6 +187,7 @@ def reduce_wirelength_partitioned(
     """
     from .engine import SupergateCache
 
+    start = time.perf_counter()
     resuming = resume_data is not None
     placement.ensure_covered(network)
     engine = WirelengthEngine(network, placement)
@@ -422,6 +424,7 @@ def reduce_wirelength_partitioned(
         parallel_rounds=parallel_rounds,
         fallback_reason=fallback_reason,
         health=health,
+        runtime_seconds=time.perf_counter() - start,
     )
     _attach_timing_stats(result, gate)
     return result

@@ -58,7 +58,9 @@ random placements through ``networks_equivalent``).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from ..contracts import projection_only
 from ..network.netlist import Network, Pin
@@ -95,7 +97,11 @@ class WirelengthResult:
     timing_aware: bool = False
     #: Guard band the slack gate enforced (ns; only with timing_aware).
     slack_margin: float = 0.0
-    #: Wirelength-improving candidates rejected by the slack gate.
+    #: Unique wirelength-improving candidates the slack gate refused on
+    #: their projected slacks: by the frontier prefilter, or by an exact
+    #: projection that ran to completion.  A candidate whose exact walk
+    #: was abandoned on a timing conflict is not counted (its
+    #: admissibility is never computed).
     timing_rejected: int = 0
     #: Worst |projected - realized| slack disagreement seen post-commit.
     projection_drift: float = 0.0
@@ -108,6 +114,8 @@ class WirelengthResult:
     class_candidates_verified: int = 0
     #: Class candidates the simulation gate refuted (never batched).
     class_candidates_rejected: int = 0
+    #: Wall time of the whole polish run (s).
+    runtime_seconds: float = 0.0
 
     @property
     def improvement_percent(self) -> float:
@@ -180,7 +188,11 @@ class _TimingGate:
     Pins the engine's timing target to the pre-polish critical delay
     when no period is set, so every projected slack is measured
     against the netlist the polish started from.  Collects the
-    rejection / drift statistics reported on the result.
+    rejection / drift statistics reported on the result: a candidate
+    counts as rejected when the frontier prefilter or a *completed*
+    exact projection finds it inadmissible.  An exact walk abandoned
+    on a claimed timing neighborhood (see :meth:`verify`) refuses its
+    candidate without counting it.
     """
 
     def __init__(self, engine: TimingEngine, margin: float) -> None:
@@ -208,11 +220,16 @@ class _TimingGate:
     def reject(self, bindings) -> None:
         self.rejected_keys.add(tuple(bindings))
 
-    def verify(self, bindings):
-        """Exact full-cone projection, or ``None`` when inadmissible."""
-        projection = self.engine.project_swap_slacks(
-            [bindings], exact=True
-        )[0]
+    def verify(self, bindings, stop: AbstractSet[str] = frozenset()):
+        """Exact full-cone projection, or ``None`` when refused.
+
+        *stop* holds the timing neighborhoods a selection has already
+        claimed; the walk is abandoned once it meets one of them (see
+        :meth:`~repro.timing.sta.TimingEngine.project_rebind_bounded`).
+        """
+        projection = self.engine.project_rebind_bounded(bindings, stop)
+        if projection is None:
+            return None
         if not projection.admissible(self.margin):
             self.reject(bindings)
             return None
@@ -279,16 +296,22 @@ def reduce_wirelength(
     considered on the first commit iteration of each pass only —
     trajectories with the knob off are unchanged.
     """
+    start = time.perf_counter()
     gate = (
         _TimingGate(timing_engine, slack_margin)
         if timing_engine is not None else None
     )
     if batched:
-        return _reduce_batched(
+        result = _reduce_batched(
             network, placement, max_passes, min_gain, include_cross,
             engine, gate, class_swaps,
         )
-    return _reduce_greedy(network, placement, max_passes, min_gain, gate)
+    else:
+        result = _reduce_greedy(
+            network, placement, max_passes, min_gain, gate
+        )
+    result.runtime_seconds = time.perf_counter() - start
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -515,7 +538,9 @@ def _select_batch(
     verified (in priced order) by the exact full-cone projection, and
     conflict-freedom additionally requires pairwise-disjoint timing
     neighborhoods (``touched``) so the projected slacks of the
-    accepted subset realize exactly.
+    accepted subset realize exactly.  Each exact walk is bounded by
+    the neighborhoods already claimed and abandoned on meeting one,
+    which refuses exactly the candidates a full walk would refuse.
 
     Returns ``(kind, payload, projection, footprint)`` per accepted
     move — everything :func:`_apply_batch` and the cross-region
@@ -575,10 +600,8 @@ def _select_batch(
             if not admissible[index]:
                 gate.reject(bindings)
                 continue
-            projection = gate.verify(bindings)
+            projection = gate.verify(bindings, timing_touched)
             if projection is None:
-                continue
-            if projection.touched & timing_touched:
                 continue
             timing_touched |= projection.touched
             accepted.append((kind, payload, projection, frozenset(footprint)))

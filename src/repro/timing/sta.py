@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple
 
 try:  # numpy accelerates batch slack projection; scalar path needs nothing
     import numpy as _np
@@ -1430,6 +1430,8 @@ class TimingEngine:
         every slack.  Consumers detect residual drift (float noise,
         overlapping neighborhoods) against
         :data:`PROJECTION_DRIFT_TOL` and fall back to re-pricing.
+        :meth:`project_rebind_bounded` runs the same exact walk but
+        abandons it once it meets a given set of nets.
         """
         self.refresh()
         if exact:
@@ -1451,6 +1453,25 @@ class TimingEngine:
                 self._fold_rebind_frontier(tuple(bindings), moved, new_stars)
             )
         return projections
+
+    @projection_only
+    def project_rebind_bounded(
+        self,
+        bindings: tuple[tuple[Pin, str], ...],
+        stop: AbstractSet[str],
+    ) -> SlackProjection | None:
+        """Exact projection of one rebinding, abandoned on a conflict.
+
+        The same full-cone walk as ``project_swap_slacks([bindings],
+        exact=True)``, stopped as soon as it would visit a net in
+        *stop*.  Returns ``None`` exactly when the unbounded
+        projection's ``touched`` meets *stop*, and that projection
+        otherwise.  A committer that refuses every candidate whose
+        ``touched`` meets the nets it already claimed passes them as
+        *stop* and skips the walks it would throw away.
+        """
+        self.refresh()
+        return self._project_rebind_exact(tuple(bindings), stop)
 
     def _rebind_specs(
         self, bindings: tuple[tuple[Pin, str], ...]
@@ -1700,8 +1721,10 @@ class TimingEngine:
         )
 
     def _project_rebind_exact(
-        self, bindings: tuple[tuple[Pin, str], ...]
-    ) -> SlackProjection:
+        self,
+        bindings: tuple[tuple[Pin, str], ...],
+        stop: AbstractSet[str] = frozenset(),
+    ) -> SlackProjection | None:
         """Full-cone projection mirroring :meth:`apply_and_update`.
 
         Forward arrivals and backward required times are re-derived
@@ -1711,6 +1734,14 @@ class TimingEngine:
         the cached engine state is never written.  ``touched`` is the
         complete visited set — the conflict footprint under which
         batched projections add exactly.
+
+        The walk is abandoned (``None``) as soon as it would visit a
+        net in *stop*: the seeds are checked before any star is
+        rebuilt, then every gate the forward walk pops and every net
+        the backward walk pops.  Up to the abort the walk is the
+        unbounded one, so ``None`` comes back exactly when the
+        unbounded ``touched`` meets *stop*, and any other result is
+        the unbounded projection.
         """
         network = self.network
         moved, specs = self._rebind_specs(bindings)
@@ -1719,20 +1750,7 @@ class TimingEngine:
                 bindings=bindings, current={}, projected={},
                 touched=frozenset(), exact=True,
             )
-        new_stars = {
-            net: build_star(
-                network, self.placement, self.library, net,
-                po_pad_cap=self.po_pad_cap, override_sinks=spec,
-            )
-            for net, spec in specs.items()
-        }
         levels = self._levels
-
-        def consumers(net: str) -> list[Pin]:
-            star = new_stars.get(net)
-            if star is not None:
-                return [s.pin for s in star.sinks if s.pin is not None]
-            return network.fanout(net)
 
         def effective_fanins(name: str) -> list[str]:
             gate = network.gate(name)
@@ -1741,24 +1759,65 @@ class TimingEngine:
                 for index, fanin in enumerate(gate.fanins)
             ]
 
-        # forward: arrivals through the affected fanout, overlay-only
-        arr_over: dict[str, tuple[float, float]] = {}
-        visited_fwd: set[str] = set()
+        # forward seeds: the drivers and the old and new sink gates of
+        # every rebuilt net (a rebuilt star's sinks are its spec's pins)
         seeds: set[str] = set()
-        for net in new_stars:
+        for net, spec in specs.items():
             if not network.is_input(net):
                 seeds.add(net)
             for sink in self._ensure_star(net).sinks:
                 if sink.pin is not None:
                     seeds.add(sink.pin.gate)
-            for pin in consumers(net):
-                seeds.add(pin.gate)
+            for pin, _location, _cap in spec:
+                if pin is not None:
+                    seeds.add(pin.gate)
+        # backward seeds: the rebuilt nets, the moved pins' gates and
+        # the fanin frontier of both
+        bseeds: set[str] = set()
+        for net in specs:
+            bseeds.add(net)
+            if not network.is_input(net):
+                bseeds.update(effective_fanins(net))
+        for pin in moved:
+            bseeds.add(pin.gate)
+            if pin.gate in network and not network.is_input(pin.gate):
+                bseeds.update(effective_fanins(pin.gate))
+        # check every seed the walks below would visit (the rebuilt
+        # nets are all backward seeds) before any star is rebuilt
+        if stop and (
+            any(
+                name in stop and name in network
+                and not network.is_input(name)
+                for name in seeds
+            )
+            or any(net in stop and net in network for net in bseeds)
+        ):
+            return None
+        new_stars = {
+            net: build_star(
+                network, self.placement, self.library, net,
+                po_pad_cap=self.po_pad_cap, override_sinks=spec,
+            )
+            for net, spec in specs.items()
+        }
+
+        def consumers(net: str) -> list[Pin]:
+            star = new_stars.get(net)
+            if star is not None:
+                return [s.pin for s in star.sinks if s.pin is not None]
+            return network.fanout(net)
+
+        # forward: arrivals through the affected fanout, overlay-only
+        arr_over: dict[str, tuple[float, float]] = {}
+        visited_fwd: set[str] = set()
         heap = [(levels.get(name, 0), name) for name in sorted(seeds)]
         heapq.heapify(heap)
         while heap:
             _, name = heapq.heappop(heap)
             if name not in network or network.is_input(name):
                 continue
+            if name in stop:
+                return None
             visited_fwd.add(name)
             pair = self._rebound_gate_arrival(name, moved, new_stars, arr_over)
             old = arr_over.get(name, self.arrival.get(name))
@@ -1772,21 +1831,14 @@ class TimingEngine:
         po_nets = set(network.outputs)
         req_over: dict[str, tuple[float, float]] = {}
         visited_bwd: set[str] = set()
-        bseeds: set[str] = set()
-        for net in new_stars:
-            bseeds.add(net)
-            if not network.is_input(net):
-                bseeds.update(effective_fanins(net))
-        for pin in moved:
-            bseeds.add(pin.gate)
-            if pin.gate in network and not network.is_input(pin.gate):
-                bseeds.update(effective_fanins(pin.gate))
         bheap = [(-levels.get(net, 0), net) for net in sorted(bseeds)]
         heapq.heapify(bheap)
         while bheap:
             _, net = heapq.heappop(bheap)
             if net not in network:
                 continue
+            if net in stop:
+                return None
             visited_bwd.add(net)
             pair = self._rebound_req0(net, moved, new_stars, req_over, po_nets)
             old = req_over.get(net, self._req0.get(net))

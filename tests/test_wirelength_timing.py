@@ -10,16 +10,26 @@ batched committer in :mod:`repro.rapids.wirelength`:
   slack at margin 0 and admits them again at a negative margin;
 * a larger guard band always admits a subset of the moves a smaller
   one admits (monotonicity);
+* the conflict-bounded exact walk returns ``None`` exactly when the
+  unbounded projection's ``touched`` meets its stop set, and the
+  unbounded projection otherwise;
 * the Table-1 flow runs the slack-guarded polish by default.
 """
+
+import random
 
 import pytest
 
 from repro.network.builder import NetworkBuilder
+from repro.network.netlist import Pin
 from repro.place.placement import Placement
 from repro.place.placer import place
 from repro.rapids.engine import run_rapids
-from repro.rapids.wirelength import reduce_wirelength, swap_bindings
+from repro.rapids.wirelength import (
+    _pure_crosses,
+    reduce_wirelength,
+    swap_bindings,
+)
 from repro.suite.flow import FlowConfig
 from repro.symmetry.supergate import extract_supergates
 from repro.symmetry.swap import enumerate_swaps
@@ -218,6 +228,81 @@ def test_fast_projection_matches_scalar_fallback(library, monkeypatch):
             assert fast.projected[net] == pytest.approx(
                 slow.projected[net], abs=1e-12
             )
+
+
+# ----------------------------------------------------------------------
+# the conflict-bounded exact walk
+# ----------------------------------------------------------------------
+def _random_placement(network, library, rng) -> Placement:
+    """Pads from the placer, cells scattered uniformly over the die."""
+    placement = place(network, library, seed=rng.randrange(100))
+    for name in sorted(placement.locations):
+        placement.locations[name] = (
+            rng.uniform(0.0, placement.die_width),
+            rng.uniform(0.0, placement.die_height),
+        )
+    return placement
+
+
+def _random_bindings(network, rng, count):
+    """Leaf swaps, cross exchanges, PI rebindings and no-op bindings."""
+    candidates = list(_leaf_swap_bindings(network))
+    candidates += [
+        tuple(bindings)
+        for _cross, bindings in _pure_crosses(extract_supergates(network))
+    ]
+    pins = [
+        Pin(name, index)
+        for name in sorted(network.gate_names())
+        for index in range(len(network.gate(name).fanins))
+    ]
+    for _ in range(count):
+        pin = rng.choice(pins)
+        # rebinding to a primary input can never close a cycle
+        candidates.append(((pin, rng.choice(network.inputs)),))
+    candidates.append(((pins[0], network.fanin_net(pins[0])),))
+    rng.shuffle(candidates)
+    return candidates[:count]
+
+
+def _random_stops(projection, nets, rng):
+    touched = sorted(projection.touched)
+    outside = [net for net in nets if net not in projection.touched]
+    stops = [frozenset(), set(rng.sample(nets, min(3, len(nets))))]
+    if touched:
+        stops.append({rng.choice(touched)})
+        stops.append(set(rng.sample(touched, (len(touched) + 1) // 2)))
+        stops.append({touched[0], touched[-1]} | set(outside[:2]))
+    if outside:
+        stops.append(set(rng.sample(outside, (len(outside) + 1) // 2)))
+    return stops
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bounded_projection_matches_unbounded(seed, library):
+    """``None`` exactly when ``touched`` meets *stop*, else identical."""
+    rng = random.Random(seed)
+    network = random_network(
+        100 + seed, num_inputs=6, num_gates=rng.randint(30, 70),
+        num_outputs=rng.randint(2, 5),
+    )
+    map_network(network, library)
+    placement = _random_placement(network, library, rng)
+    engine = _pinned_engine(network, placement, library)
+    nets = sorted(network.nets())
+    bindings = _random_bindings(network, rng, 30)
+    unbounded = engine.project_swap_slacks(bindings, exact=True)
+    aborted = completed = 0
+    for binding, full in zip(bindings, unbounded):
+        for stop in _random_stops(full, nets, rng):
+            bounded = engine.project_rebind_bounded(binding, stop)
+            if full.touched & stop:
+                assert bounded is None, (binding, sorted(stop))
+                aborted += 1
+            else:
+                assert bounded == full, (binding, sorted(stop))
+                completed += 1
+    assert aborted and completed
 
 
 # ----------------------------------------------------------------------
