@@ -22,10 +22,21 @@ ONE = 1
 _TERMINAL_LEVEL = 1 << 30
 
 
-class BddManager:
-    """Hash-consed ROBDD node store with an ITE-based apply."""
+class BddLimitError(RuntimeError):
+    """A manager built with a node ``limit`` was asked for more nodes."""
 
-    def __init__(self, var_names: list[str] | None = None) -> None:
+
+class BddManager:
+    """Hash-consed ROBDD node store with an ITE-based apply.
+
+    With a node ``limit`` the manager raises :class:`BddLimitError`
+    instead of creating more than that many nodes (terminals included),
+    which lets a caller abandon a build that grew past its budget.
+    """
+
+    def __init__(
+        self, var_names: list[str] | None = None, limit: int | None = None
+    ) -> None:
         # nodes[id] = (level, low, high); ids 0/1 are terminals
         self._nodes: list[tuple[int, int, int]] = [
             (_TERMINAL_LEVEL, 0, 0),
@@ -35,6 +46,7 @@ class BddManager:
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self.var_names: list[str] = []
         self._var_index: dict[str, int] = {}
+        self.limit = limit
         for name in var_names or []:
             self.declare(name)
 
@@ -72,6 +84,8 @@ class BddManager:
         if found is not None:
             return found
         node_id = len(self._nodes)
+        if self.limit is not None and node_id >= self.limit:
+            raise BddLimitError(f"BDD node limit {self.limit} reached")
         self._nodes.append(key)
         self._unique[key] = node_id
         return node_id

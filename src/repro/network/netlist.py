@@ -182,11 +182,20 @@ class Network:
         """Delete a gate; fails if its output net still has consumers."""
         if name not in self._gates:
             raise NetworkError(f"no gate {name!r}")
-        consumers = self.fanout(name)
-        if consumers:
-            raise NetworkError(
-                f"gate {name!r} still drives {len(consumers)} pins"
+        # read a current fanout map, but never rebuild it for one net:
+        # a removal sweep would rebuild it after every removal
+        if self._fanout_cache is not None and (
+            self._fanout_version == self.version
+        ):
+            consumers = len(self._fanout_cache.get(name, ()))
+        else:
+            consumers = sum(
+                net == name
+                for gate in self._gates.values()
+                for net in gate.fanins
             )
+        if consumers:
+            raise NetworkError(f"gate {name!r} still drives {consumers} pins")
         if name in self.outputs:
             raise NetworkError(f"gate {name!r} is a primary output")
         fanins = tuple(self._gates[name].fanins)

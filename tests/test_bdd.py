@@ -3,7 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.logic.bdd import (
+    BddLimitError,
     BddManager,
     ONE,
     ZERO,
@@ -154,3 +157,17 @@ def test_cone_scoped_construction():
     out = net.outputs[0]
     manager, funcs = network_bdds(net, nets=[out])
     assert out in funcs
+
+
+def test_node_limit_raises_past_budget():
+    # terminals count: a limit of 4 leaves room for two internal nodes
+    manager = BddManager(limit=4)
+    a, b = manager.var("a"), manager.var("b")
+    assert len(manager) == 4
+    assert manager.or_(a, a) == a  # no new node, no error
+    with pytest.raises(BddLimitError):
+        manager.and_(a, b)
+    assert len(manager) == 4
+    unlimited = BddManager()
+    unlimited.and_(unlimited.var("a"), unlimited.var("b"))
+    assert len(unlimited) == 5

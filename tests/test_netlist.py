@@ -114,6 +114,24 @@ def test_remove_gate_guards():
     assert "g1" not in net
 
 
+def test_remove_gate_does_not_rebuild_fanout_map():
+    # a removal sweep mutates between removals; rebuilding the whole
+    # fanout map for each one made the sweep quadratic
+    net = build_simple()
+    net.replace_fanin(Pin("g2", 0), "a")
+    net.remove_gate("g1")
+    assert net._fanout_cache is None
+    net = build_simple()
+    assert net.fanout("g1") == [Pin("g2", 0)]  # cache built and current
+    with pytest.raises(NetworkError, match="still drives 1 pins"):
+        net.remove_gate("g1")
+    net.add_gate("g3", GateType.INV, ["g1"])
+    with pytest.raises(NetworkError, match="still drives 2 pins"):
+        net.remove_gate("g1")  # stale cache: found by scanning fanins
+    net.remove_gate("g3")
+    assert net._fanout_version != net.version
+
+
 def test_replace_output():
     net = build_simple()
     net.replace_output("g2", "g1")
